@@ -1038,6 +1038,7 @@ let tput () =
   Printf.printf "%-6s %-7s %-10s %-7s %-9s %-11s %-10s %-9s\n" "batch"
     "window" "delivered" "rounds" "steps" "payl/round" "kB/round"
     "dec/1k-st";
+  let t0 = Unix.gettimeofday () in
   let results =
     List.map
       (fun (b, w) ->
@@ -1082,14 +1083,20 @@ let tput () =
                      r.tp_progress) )
             ]
         in
-        ((b, w), decided_per_1k_steps, row))
+        ((b, w), r.tp_steps, decided_per_1k_steps, row))
       grid
   in
+  (* Informational: host-dependent, so [compare] never gates on it. *)
+  let wall = Unix.gettimeofday () -. t0 in
+  let steps = List.fold_left (fun acc (_, s, _, _) -> acc + s) 0 results in
+  Bench_out.put "steps" (Obs_json.Int steps);
+  Bench_out.put "steps_per_wall_s"
+    (Obs_json.Float (float_of_int steps /. Float.max wall 1e-9));
   Bench_out.put "tput"
-    (Obs_json.Arr (List.map (fun (_, _, row) -> row) results));
+    (Obs_json.Arr (List.map (fun (_, _, _, row) -> row) results));
   let rate bw =
     List.find_map
-      (fun (bw', rate, _) -> if bw' = bw then Some rate else None)
+      (fun (bw', _, rate, _) -> if bw' = bw then Some rate else None)
       results
   in
   (match (rate (1, 1), rate (8, 4)) with

@@ -270,7 +270,7 @@ let send_prevote t r b just =
     Obs.span_end (obs t) t.sp_round;
     t.sp_round <-
       Obs.span_begin (obs t) ~party:t.io.Proto_io.me ~tag:t.tag ~layer:"abba"
-        ~detail:(Printf.sprintf "r%d vote=%b" r b)
+        ?detail:(Obs.detailf (obs t) "r%d vote=%b" r b)
         "round";
     let share =
       Keyring.cert_share t.io.Proto_io.keyring ~party:t.io.Proto_io.me

@@ -329,7 +329,7 @@ and participate t r payload =
       t.sp_epoch <-
         Obs.span_begin t.io.Proto_io.obs ~party:t.io.Proto_io.me ~tag:t.tag
           ~layer:"abc"
-          ~detail:(Printf.sprintf "r%d" r)
+          ?detail:(Obs.detailf t.io.Proto_io.obs "r%d" r)
           "epoch";
     let sg =
       Schnorr_sig.to_bytes t.io.Proto_io.keyring.Keyring.group
@@ -465,7 +465,7 @@ and step t =
           end)
         payloads;
       Obs.span_end t.io.Proto_io.obs
-        ~detail:(Printf.sprintf "r%d done" r)
+        ?detail:(Obs.detailf t.io.Proto_io.obs "r%d done" r)
         t.sp_epoch;
       t.sp_epoch <- 0;
       (* Payloads we packed for round r but the decided list missed stay

@@ -82,7 +82,7 @@ and on_ordered t (payload : string) =
             sp_decrypt =
               Obs.span_begin t.io.Proto_io.obs ~party:t.io.Proto_io.me
                 ~layer:"scabc"
-                ~detail:(Printf.sprintf "pos=%d" t.next_position)
+                ?detail:(Obs.detailf t.io.Proto_io.obs "pos=%d" t.next_position)
                 "decrypt" }
         in
         t.next_position <- t.next_position + 1;
@@ -145,7 +145,7 @@ and flush_deliveries t =
       | Some plaintext ->
         t.next_delivery <- t.next_delivery + 1;
         Obs.point t.io.Proto_io.obs ~party:t.io.Proto_io.me ~layer:"scabc"
-          ~detail:(Printf.sprintf "pos=%d" slot.position)
+          ?detail:(Obs.detailf t.io.Proto_io.obs "pos=%d" slot.position)
           "deliver";
         t.deliver ~label:slot.ct.Tdh2.label plaintext;
         go ())

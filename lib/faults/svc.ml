@@ -666,6 +666,10 @@ let to_json ~id ~wall rep =
           [
             ("steps_total", Obs_json.Int (steps_total rep));
             ("requests_per_kstep", Obs_json.Float (requests_per_kstep rep));
+            (* informational: host-dependent, never gated *)
+            ( "steps_per_wall_s",
+              Obs_json.Float
+                (float_of_int (steps_total rep) /. Float.max wall 1e-9) );
           ] );
       ( "skipped",
         Obs_json.Arr

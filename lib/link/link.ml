@@ -192,7 +192,8 @@ and on_timer t dst =
     t.retransmits <- t.retransmits + k;
     Obs_registry.incr ~by:k t.c_retransmit;
     Obs.point t.obs ~party:t.me ~src:dst ~layer:"link" ~tag:"retransmit"
-      ~detail:(Printf.sprintf "peer %d: %d frames, rto %.0f" dst k tx.rto_cur)
+      ?detail:
+        (Obs.detailf t.obs "peer %d: %d frames, rto %.0f" dst k tx.rto_cur)
       "retransmit";
     tx.rto_cur <- Float.min t.policy.max_rto (tx.rto_cur *. t.policy.backoff);
     arm_timer t dst
@@ -219,8 +220,8 @@ let send t dst m =
          an ACK opens the window. *)
       Queue.push m tx.backlog;
       Obs.point t.obs ~party:t.me ~src:dst ~layer:"link" ~tag:"backpressure"
-        ~detail:
-          (Printf.sprintf "peer %d: window %d full, backlog %d" dst
+        ?detail:
+          (Obs.detailf t.obs "peer %d: window %d full, backlog %d" dst
              t.policy.window (Queue.length tx.backlog))
         "backpressure"
     end;

@@ -117,6 +117,17 @@ let need_num doc path =
     Error
       (Printf.sprintf "missing or non-numeric %S" (String.concat "." path))
 
+(* Informational rows for optional fields, emitted only when both
+   documents carry them, so baselines written before a field existed
+   still compare. *)
+let optional_info a b fields =
+  List.filter_map
+    (fun (label, path) ->
+      match (path_num a path, path_num b path) with
+      | Some va, Some vb -> Some (label, Info, Threshold, va, vb)
+      | _ -> None)
+    fields
+
 (* Stats out of an [Obs_histogram.to_json] object: the sparse
    [[index, count], ...] bucket list reconstructs the same conservative
    percentile the histogram itself reports (bucket upper bound, clamped
@@ -345,7 +356,10 @@ let extract_bench th a b =
     (make_report ~schema:"sintra-bench/1" th
        ([ ("virtual time total", Lower_better, Threshold, vt_a, vt_b);
           ("wall time (s)", Info, Threshold, wall_a, wall_b) ]
-       @ crypto_rows @ tput_rows))
+       @ crypto_rows @ tput_rows
+       @ optional_info a b
+           [ ("sim steps", [ "steps" ]);
+             ("sim steps per wall s", [ "steps_per_wall_s" ]) ]))
 
 let extract_svc th a b =
   let* safety_a = need_num a [ "violations"; "safety" ]
@@ -370,27 +384,30 @@ let extract_svc th a b =
   and* wall_b = need_num b [ "wall_time_s" ] in
   Ok
     (make_report ~schema:"sintra-svc/1" th
-       [ ("safety violations", Lower_better, Strict, safety_a, safety_b);
-         ("certificate failures", Lower_better, Strict, cert_a, cert_b);
-         ( "missed requests",
-           Lower_better,
-           Strict,
-           target_a -. compl_a,
-           target_b -. compl_b );
-         ( "requests per 1k steps",
-           Higher_better,
-           Threshold,
-           tput_a,
-           tput_b );
-         ("fast-path rate", Higher_better, Threshold, rate_a, rate_b);
-         ("GC'd log peak", Lower_better, Threshold, peak_a, peak_b);
-         ("client retries", Lower_better, Threshold, retries_a, retries_b);
-         ( "client timeouts",
-           Lower_better,
-           Threshold,
-           timeouts_a,
-           timeouts_b );
-         ("wall time (s)", Info, Threshold, wall_a, wall_b) ])
+       ([ ("safety violations", Lower_better, Strict, safety_a, safety_b);
+          ("certificate failures", Lower_better, Strict, cert_a, cert_b);
+          ( "missed requests",
+            Lower_better,
+            Strict,
+            target_a -. compl_a,
+            target_b -. compl_b );
+          ( "requests per 1k steps",
+            Higher_better,
+            Threshold,
+            tput_a,
+            tput_b );
+          ("fast-path rate", Higher_better, Threshold, rate_a, rate_b);
+          ("GC'd log peak", Lower_better, Threshold, peak_a, peak_b);
+          ("client retries", Lower_better, Threshold, retries_a, retries_b);
+          ( "client timeouts",
+            Lower_better,
+            Threshold,
+            timeouts_a,
+            timeouts_b );
+          ("wall time (s)", Info, Threshold, wall_a, wall_b) ]
+       @ optional_info a b
+           [ ("sim steps", [ "throughput"; "steps_total" ]);
+             ("sim steps per wall s", [ "throughput"; "steps_per_wall_s" ]) ]))
 
 (* ---------- entry points --------------------------------------------- *)
 
