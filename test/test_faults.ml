@@ -48,6 +48,19 @@ let chaos_tests =
                  { Sim.benign_chaos with
                    Sim.partitions =
                      [ { Sim.from_t = 10.0; until_t = 10.0; cells = [] } ] }));
+        (* n = 2 plus the default 8 extra slots: party 10 is no slot *)
+        Alcotest.check_raises "override off the slots"
+          (Invalid_argument "Sim.set_chaos: link (0, 10) is not between slots")
+          (fun () ->
+            Sim.set_chaos sim
+              (Some
+                 { Sim.benign_chaos with
+                   Sim.links = [ ((0, 10), Sim.no_fault) ] }));
+        Alcotest.check_raises "send from no slot" (Invalid_argument "Sim.send")
+          (fun () -> Sim.send sim ~src:10 ~dst:0 ());
+        Alcotest.check_raises "send from a negative party"
+          (Invalid_argument "Sim.send")
+          (fun () -> Sim.send sim ~src:(-1) ~dst:0 ());
         (* benign spec installs and clears fine *)
         Sim.set_chaos sim (Some Sim.benign_chaos);
         Sim.set_chaos sim None);
