@@ -15,6 +15,7 @@ type keys = {
   shares : Bignum.t array;  (** party i holds [shares.(i)] = f(i+1) *)
   v : Bignum.t;  (** verification base (generator of QR{_N}) *)
   vks : Bignum.t array;  (** [vks.(i) = v^{shares.(i)}] *)
+  vks_inv : Bignum.t array;  (** [vks_inv.(i) = vks.(i)^{-1} mod N] *)
 }
 
 type share = { signer : int; x : Bignum.t; c : Bignum.t; z : Bignum.t }

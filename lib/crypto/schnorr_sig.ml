@@ -37,9 +37,11 @@ let verify (ps : G.params) ~(pk : G.elt) (msg : string) (s : signature) : bool
   Obs_crypto.verify ();
   B.sign s.z >= 0 && B.lt s.z ps.G.q
   &&
-  (* a = g^z * pk^-c; g is served by its fixed-base table, pk by the
-     ordinary ladder, fused in one exp2. *)
-  let a = G.exp2 ps ps.G.g s.z (G.inv ps pk) s.c in
+  (* a = g^z * pk^-c, written g^z * pk^(q-c): pk is a dealer-published
+     subgroup element, so pk^q = 1 and no inversion is needed.  g is
+     served by its fixed-base table, pk by the ordinary ladder, fused in
+     one exp2. *)
+  let a = G.exp2 ps ps.G.g s.z pk (B.sub ps.G.q s.c) in
   B.equal s.c (challenge ps ~a ~pk ~msg)
 
 let to_bytes (ps : G.params) (s : signature) : string =

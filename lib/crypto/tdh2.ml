@@ -72,12 +72,15 @@ let is_valid (t : Dl_sharing.t) (ct : ciphertext) : bool =
   && B.sign ct.f >= 0 && B.lt ct.f ps.G.q
   &&
   let gp = g' ps in
-  (* w = g^f * u^-e (and likewise for g'), each pair fused into one
-     shared-squaring-chain exponentiation.  g' recurs across every
-     ciphertext of a key, so it earns a fixed-base table. *)
+  (* w = g^f * u^-e (and likewise for g'), written u^(q-e): u and u'
+     passed the membership checks above, so u^q = 1 and no inversion is
+     needed.  Each pair is fused into one shared-squaring-chain
+     exponentiation; g' recurs across every ciphertext of a key, so it
+     earns a fixed-base table. *)
   G.prepare_base ps gp;
-  let w = G.exp2 ps ps.G.g ct.f (G.inv ps ct.u) ct.e in
-  let w' = G.exp2 ps gp ct.f (G.inv ps ct.u') ct.e in
+  let minus_e = B.sub ps.G.q ct.e in
+  let w = G.exp2 ps ps.G.g ct.f ct.u minus_e in
+  let w' = G.exp2 ps gp ct.f ct.u' minus_e in
   B.equal ct.e (challenge ps ~c:ct.c ~label:ct.label ~u:ct.u ~w ~u':ct.u' ~w')
 
 let decryption_share (t : Dl_sharing.t) ~(party : int) (ct : ciphertext) :

@@ -34,7 +34,14 @@ type elt = B.t
 
 let params_equal a b = B.equal a.p b.p && B.equal a.q b.q && B.equal a.g b.g
 
-let unsafe_params ~p ~q ~g : params = { p; q; g; cache = { tables = [] } }
+(* p = 2q + 1 is the one relation every params value must satisfy:
+   [is_element] decides membership by the Jacobi symbol, which is exact
+   only when the order-q subgroup is the whole set of quadratic residues,
+   i.e. when q = (p - 1) / 2. *)
+let unsafe_params ~p ~q ~g : params =
+  if not (B.equal p (B.succ (B.shift_left q 1))) then
+    invalid_arg "Schnorr_group.unsafe_params: p <> 2q + 1";
+  { p; q; g; cache = { tables = [] } }
 
 let generate ?(bits = 128) rng : params =
   let p, q = Primes.random_safe_prime rng ~bits in
@@ -60,9 +67,13 @@ let one (_ : params) : elt = B.one
 let generator ps : elt = ps.g
 let elt_equal (a : elt) (b : elt) = B.equal a b
 
+(* For p = 2q + 1 prime, x^q = x^((p-1)/2) is the Legendre symbol of x
+   (Euler's criterion), so the order-q subgroup is exactly the quadratic
+   residues and the Jacobi symbol -- GCD-style reductions, no
+   exponentiation -- decides membership with the same verdict as
+   x^q = 1. *)
 let is_element ps (x : B.t) : bool =
-  B.sign x > 0 && B.lt x ps.p
-  && B.equal (B.pow_mod ~base:x ~exp:ps.q ~modulus:ps.p) B.one
+  B.sign x > 0 && B.lt x ps.p && B.jacobi x ps.p = 1
 
 let mul ps (a : elt) (b : elt) : elt = B.mul_mod a b ps.p
 
@@ -184,8 +195,6 @@ let inv ps (a : elt) : elt =
   match B.inv_mod a ps.p with
   | Some i -> i
   | None -> invalid_arg "Schnorr_group.inv: not invertible"
-
-let div ps (a : elt) (b : elt) : elt = mul ps a (inv ps b)
 
 let elt_to_bytes ps (a : elt) : string =
   B.to_bytes_be ~len:((B.numbits ps.p + 7) / 8) a

@@ -22,9 +22,12 @@ val default : ?bits:int -> unit -> params
 (** Deterministic, memoized parameters shared by tests and benches. *)
 
 val unsafe_params : p:Bignum.t -> q:Bignum.t -> g:Bignum.t -> params
-(** Wrap raw values as [params] with an empty table cache and {e no
-    validation whatsoever} — for benchmarks that need arbitrary-size
-    moduli without paying for safe-prime generation.  Never use with
+(** Wrap raw values as [params] with an empty table cache — for
+    benchmarks that need arbitrary-size moduli without paying for
+    safe-prime generation.  The only check is the precondition
+    [p = 2q + 1] ({!is_element} is exact only for such pairs, and then
+    only when [p] is prime); anything else raises [Invalid_argument].
+    Primality and [g]'s order are {e not} checked, so never use with
     values received from another party. *)
 
 val one : params -> elt
@@ -32,7 +35,10 @@ val generator : params -> elt
 val elt_equal : elt -> elt -> bool
 
 val is_element : params -> Bignum.t -> bool
-(** Subgroup membership check ([x{^q} = 1 mod p]); must be applied to any
+(** Subgroup membership check: [0 < x < p] and the Jacobi symbol
+    [(x/p) = 1].  For the safe prime [p = 2q + 1] the order-[q] subgroup
+    is exactly the quadratic residues, so this is the same verdict as
+    [x{^q} = 1 mod p] without an exponentiation.  Must be applied to any
     value received from another (possibly corrupted) party. *)
 
 val mul : params -> elt -> elt -> elt
@@ -57,7 +63,8 @@ val exp2 : params -> elt -> Bignum.t -> elt -> Bignum.t -> elt
 (** [exp2 ps a x b y = mul ps (exp ps a x) (exp ps b y)], computed with
     fixed-base tables where available and a shared squaring chain
     (Shamir's trick) otherwise — the shape of every DLEQ/Schnorr
-    verification equation [g^z * h^-c]. *)
+    verification equation [g^z * h^-c], which callers holding a subgroup
+    member [h] write as [exp2 ps g z h (q - c)]. *)
 
 val multi_exp : params -> (elt * Bignum.t) list -> elt
 (** Product of [base^exp] over the list (empty product is [one]), using
@@ -66,7 +73,6 @@ val multi_exp : params -> (elt * Bignum.t) list -> elt
     verification. *)
 
 val inv : params -> elt -> elt
-val div : params -> elt -> elt -> elt
 val elt_to_bytes : params -> elt -> string
 val elt_of_bytes : params -> string -> elt option
 

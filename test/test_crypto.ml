@@ -316,6 +316,193 @@ let rsa_tests =
             (Rsa_threshold.verify keys3.Rsa_threshold.pk msg y))
   ]
 
+(* Reference copies of the verification formulas that inverted the
+   group element and tested membership by x^q = 1.  The production checks
+   compute h^(q-c) and the Jacobi symbol instead; every verdict must
+   match these on honest, tampered, out-of-range and non-member inputs. *)
+let member_by_power ps x =
+  B.sign x > 0 && B.lt x ps.G.p
+  && B.equal (B.pow_mod ~base:x ~exp:ps.G.q ~modulus:ps.G.p) B.one
+
+let schnorr_verify_inverting ps ~pk msg (s : Schnorr_sig.signature) =
+  B.sign s.z >= 0 && B.lt s.z ps.G.q
+  &&
+  let a = G.exp2 ps ps.G.g s.z (G.inv ps pk) s.c in
+  B.equal s.c
+    (G.hash_to_exponent ps ~domain:"sintra/schnorr/c"
+       [ G.elt_to_bytes ps a; G.elt_to_bytes ps pk; msg ])
+
+let tdh2_g' ps =
+  G.hash_to_elt ps ~domain:"sintra/tdh2/g'" [ G.elt_to_bytes ps ps.G.g ]
+
+let tdh2_challenge ps (ct : Tdh2.ciphertext) ~w ~w' =
+  G.hash_to_exponent ps ~domain:"sintra/tdh2/e"
+    (ct.c :: ct.label :: List.map (G.elt_to_bytes ps) [ ct.u; w; ct.u'; w' ])
+
+let tdh2_is_valid_inverting (t : Dl_sharing.t) (ct : Tdh2.ciphertext) =
+  let ps = t.Dl_sharing.group in
+  member_by_power ps ct.u && member_by_power ps ct.u'
+  && B.sign ct.f >= 0 && B.lt ct.f ps.G.q
+  &&
+  let w = G.exp2 ps ps.G.g ct.f (G.inv ps ct.u) ct.e in
+  let w' = G.exp2 ps (tdh2_g' ps) ct.f (G.inv ps ct.u') ct.e in
+  B.equal ct.e (tdh2_challenge ps ct ~w ~w')
+
+(* A ciphertext with a consistent proof for u = g^k, u' = g'^k, where
+   [neg_u] / [neg_u'] replace u / u' by its negation p - x, an element
+   of order 2q.  Without the membership test the order-2 factor cancels whenever
+   the exponent applied to it is even, so about half of the negated
+   ones would pass the equation check alone. *)
+let tdh2_crafted ~neg_u ~neg_u' seed : Tdh2.ciphertext =
+  let q = ps.G.q in
+  let rng = Prng.create ~seed in
+  let k = G.random_exponent ps rng and r = G.random_exponent ps rng in
+  let gp = tdh2_g' ps in
+  let neg b x = if b then B.sub ps.G.p x else x in
+  let ct =
+    { Tdh2.c = "crafted"; label = "l";
+      u = neg neg_u (G.exp_g ps k); u' = neg neg_u' (G.exp ps gp k);
+      e = B.zero; f = B.zero }
+  in
+  let e = tdh2_challenge ps ct ~w:(G.exp_g ps r) ~w':(G.exp ps gp r) in
+  { ct with e; f = B.add_mod r (B.mul_mod k e q) q }
+
+let inversion_free_tests =
+  let q = ps.G.q and p = ps.G.p in
+  (* Each case: name, expected verdict, production verdict, reference. *)
+  let check_cases cases =
+    List.iter
+      (fun (what, expect, got, reference) ->
+        Alcotest.(check bool) (what ^ " = reference") reference got;
+        Alcotest.(check bool) what expect got)
+      cases
+  in
+  [ Alcotest.test_case "schnorr verify agrees with the inverting formula"
+      `Quick (fun () ->
+        for seed = 1 to 20 do
+          let rng = Prng.create ~seed in
+          let kp = Schnorr_sig.generate ps rng in
+          let other = Schnorr_sig.generate ps rng in
+          let msg = Printf.sprintf "proposal %d" seed in
+          let s = Schnorr_sig.sign ps kp msg in
+          let case what expect ?(pk = kp.Schnorr_sig.pk) ?(msg = msg) s' =
+            ( Printf.sprintf "seed %d: %s" seed what,
+              expect,
+              Schnorr_sig.verify ps ~pk msg s',
+              schnorr_verify_inverting ps ~pk msg s' )
+          in
+          let with_c c = { s with Schnorr_sig.c } in
+          let with_z z = { s with Schnorr_sig.z } in
+          check_cases
+            [ case "valid" true s;
+              case "c+1" false (with_c (B.succ s.c));
+              case "c-1" false (with_c (B.pred s.c));
+              case "c=0" false (with_c B.zero);
+              case "c=q" false (with_c q);
+              case "c+q" false (with_c (B.add s.c q));
+              case "c-q" false (with_c (B.sub s.c q));
+              case "z+1" false (with_z (B.add_mod s.z B.one q));
+              case "z=0" false (with_z B.zero);
+              case "z=q" false (with_z q);
+              case "z+q" false (with_z (B.add s.z q));
+              case "z=-1" false (with_z (B.neg B.one));
+              case "c,z swapped" false { Schnorr_sig.c = s.z; z = s.c };
+              case "other message" false ~msg:(msg ^ "'") s;
+              case "other key" false ~pk:other.Schnorr_sig.pk s;
+              case "generator as key" false ~pk:ps.G.g s ]
+        done);
+    Alcotest.test_case "tdh2 is_valid agrees with the inverting formula"
+      `Quick (fun () ->
+        let sharing = deal ~seed:9 th43 in
+        for seed = 1 to 10 do
+          let ct =
+            Tdh2.encrypt sharing (Prng.create ~seed)
+              ~label:(Printf.sprintf "client-%d" seed) "request"
+          in
+          let case what expect ct' =
+            ( Printf.sprintf "seed %d: %s" seed what,
+              expect,
+              Tdh2.is_valid sharing ct',
+              tdh2_is_valid_inverting sharing ct' )
+          in
+          let with_e e = { ct with Tdh2.e } and with_f f = { ct with Tdh2.f } in
+          let with_u u = { ct with Tdh2.u } and with_u' u' = { ct with Tdh2.u' } in
+          let tampered_elts name set x =
+            [ case (name ^ " * g (member)") false (set (G.mul ps x ps.G.g));
+              case (name ^ " = p - " ^ name ^ " (non-member)") false
+                (set (B.sub p x));
+              case (name ^ " + p (out of range)") false (set (B.add x p));
+              case (name ^ " = 0") false (set B.zero);
+              case (name ^ " = p") false (set p);
+              case (name ^ " = -" ^ name) false (set (B.neg x)) ]
+          in
+          check_cases
+            ([ case "valid" true ct;
+               case "e+1" false (with_e (B.succ ct.e));
+               case "e=0" false (with_e B.zero);
+               case "e+q" false (with_e (B.add ct.e q));
+               case "e-q" false (with_e (B.sub ct.e q));
+               case "f+1" false (with_f (B.add_mod ct.f B.one q));
+               case "f=0" false (with_f B.zero);
+               case "f=q" false (with_f q);
+               case "f+q" false (with_f (B.add ct.f q));
+               case "f=-1" false (with_f (B.neg B.one));
+               case "c tampered" false { ct with Tdh2.c = ct.c ^ "x" };
+               case "label tampered" false { ct with Tdh2.label = "mallory" };
+               case "u, u' swapped" false { ct with Tdh2.u = ct.u'; u' = ct.u };
+               case "crafted" true
+                 (tdh2_crafted ~neg_u:false ~neg_u':false seed);
+               case "crafted, u negated" false
+                 (tdh2_crafted ~neg_u:true ~neg_u':false seed);
+               case "crafted, u' negated" false
+                 (tdh2_crafted ~neg_u:false ~neg_u':true seed);
+               case "crafted, both negated" false
+                 (tdh2_crafted ~neg_u:true ~neg_u':true seed) ]
+            @ tampered_elts "u" with_u ct.u
+            @ tampered_elts "u'" with_u' ct.u')
+        done);
+    Alcotest.test_case "rsa share checks reject every tampered field" `Quick
+      (fun () ->
+        let keys = Rsa_threshold.deal ~bits:192 ~n:4 ~k:2 (Prng.create ~seed:31) in
+        let nn = keys.Rsa_threshold.pk.Rsa_threshold.n_modulus in
+        Array.iteri
+          (fun i vk ->
+            Alcotest.(check bool) (Printf.sprintf "vks_inv.(%d)" i) true
+              (B.equal B.one (B.mul_mod vk keys.Rsa_threshold.vks_inv.(i) nn)))
+          keys.Rsa_threshold.vks;
+        let msg = "reply certificate" in
+        for party = 0 to 3 do
+          let s = Rsa_threshold.sign_share keys ~party msg in
+          let verdict what sh =
+            Alcotest.(check bool)
+              (Printf.sprintf "party %d: %s" party what)
+              false
+              (Rsa_threshold.verify_share keys msg sh)
+          in
+          Alcotest.(check bool) "honest share" true
+            (Rsa_threshold.verify_share keys msg s);
+          verdict "other message"
+            (Rsa_threshold.sign_share keys ~party (msg ^ "'"));
+          List.iter
+            (fun (what, sh) -> verdict what sh)
+            [ ("signer+1", { s with signer = (party + 1) mod 4 });
+              ("signer=-1", { s with signer = -1 });
+              ("signer=n", { s with signer = 4 });
+              ("x+1", { s with x = B.add_mod s.x B.one nn });
+              ("x=0", { s with x = B.zero });
+              ("x=N", { s with x = nn });
+              ("x+N", { s with x = B.add s.x nn });
+              ("x^2", { s with x = B.mul_mod s.x s.x nn });
+              ("c+1", { s with c = B.succ s.c });
+              ("c=0", { s with c = B.zero });
+              ("c=-c", { s with c = B.neg s.c });
+              ("z+1", { s with z = B.succ s.z });
+              ("z=0", { s with z = B.zero });
+              ("z=-z", { s with z = B.neg s.z });
+              ("z=-1", { s with z = B.neg B.one }) ]
+        done)
+  ]
+
 let certsig_tests =
   let s1 = Canonical_structures.example1 () in
   let dl = deal ~seed:55 s1 in
@@ -618,5 +805,5 @@ let batch_tests =
 
 let suite =
   ( "crypto",
-    dleq_tests @ coin_tests @ tdh2_tests @ rsa_tests @ certsig_tests
-    @ keyring_tests @ batch_tests )
+    dleq_tests @ coin_tests @ tdh2_tests @ rsa_tests @ inversion_free_tests
+    @ certsig_tests @ keyring_tests @ batch_tests )

@@ -30,6 +30,63 @@ let unit_tests =
         Alcotest.(check bool) "p" false (G.is_element ps ps.G.p);
         (* p - 1 has order 2, not in the subgroup *)
         Alcotest.(check bool) "p-1" false (G.is_element ps (B.pred ps.G.p)));
+    Alcotest.test_case "Jacobi membership agrees with x^q = 1" `Quick
+      (fun () ->
+        (* [is_element] tests the Jacobi symbol; x^q = 1 by
+           exponentiation is the reference.  Both 96- and 128-bit groups,
+           every edge case, and 200 seeds of residues, non-residues and
+           out-of-range residues. *)
+        List.iter
+          (fun ps ->
+            let p = ps.G.p in
+            let by_power x =
+              B.sign x > 0 && B.lt x p
+              && B.equal (B.pow_mod ~base:x ~exp:ps.G.q ~modulus:p) B.one
+            in
+            let agree what x =
+              Alcotest.(check bool) what (by_power x) (G.is_element ps x)
+            in
+            let bits = B.numbits p in
+            List.iter
+              (fun (what, x) -> agree what x)
+              [ ("0", B.zero); ("1", B.one); ("2", B.two); ("p-1", B.pred p);
+                ("p", p); ("p+1", B.succ p); ("-1", B.neg B.one);
+                ("-g", B.neg ps.G.g); ("-(p-1)", B.neg (B.pred p));
+                ("2^bits", B.shift_left B.one bits);
+                ("2^bits+1", B.succ (B.shift_left B.one bits));
+                ("g+p", B.add ps.G.g p); ("2^(2 bits)", B.shift_left B.one (2 * bits)) ];
+            let members = ref 0 and non_members = ref 0 in
+            for seed = 1 to 200 do
+              let rng = Prng.create ~seed in
+              let r = B.succ (Prng.bignum_below rng (B.pred p)) in
+              let residue = B.mul_mod r r p in
+              let non_residue = B.sub p residue (* -1 is a non-residue *) in
+              let uniform = Prng.bignum_below rng p in
+              List.iter
+                (fun x ->
+                  agree (Printf.sprintf "seed %d: %s" seed (B.to_string x)) x;
+                  if by_power x then incr members else incr non_members)
+                [ residue; non_residue; uniform; B.add residue p;
+                  B.neg residue ]
+            done;
+            Alcotest.(check bool) "both verdicts exercised" true
+              (!members >= 200 && !non_members >= 600))
+          [ ps; G.default () ]);
+    Alcotest.test_case "unsafe_params refuses p <> 2q + 1" `Quick (fun () ->
+        let g = B.of_int 4 in
+        let refused p q =
+          match G.unsafe_params ~p:(B.of_int p) ~q:(B.of_int q) ~g with
+          | _ -> false
+          | exception Invalid_argument _ -> true
+        in
+        Alcotest.(check bool) "23 = 2*11+1 accepted" false (refused 23 11);
+        Alcotest.(check bool) "23, 5 refused" true (refused 23 5);
+        (* q divides p - 1, but with cofactor 4 the residues are not
+           the order-q subgroup *)
+        Alcotest.(check bool) "29 = 4*7+1 refused" true (refused 29 7);
+        Alcotest.(check bool) "p = q refused" true (refused 23 23);
+        Alcotest.(check bool) "shared params pass" true
+          (G.params_equal ps (G.unsafe_params ~p:ps.G.p ~q:ps.G.q ~g:ps.G.g)));
     Alcotest.test_case "hash_to_elt lands in group" `Quick (fun () ->
         List.iter
           (fun s ->
